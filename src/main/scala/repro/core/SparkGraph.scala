@@ -15,6 +15,23 @@ import org.apache.spark.sql.functions._
   * no edge) — sparsification keeps the vertex set fixed (edge sparsification
   * only, §2.1 of the paper).
   *
+  * The edges are collected to the driver once per instance
+  * ([[edgeArrays]]); [[numEdges]], [[GraphOps.collectEdges]] and
+  * [[totalDegreeArray]] all read that one copy, so every consumer of a graph
+  * sees the same edge set even when `edges` is a non-deterministic plan
+  * (Random and K-Neighbor draw from `rand(seed)`, whose sample depends on
+  * how the plan is partitioned). `copy`, [[withEdges]] and
+  * [[GraphOps.symmetrize]] build new instances, which start uncollected.
+  *
+  * The memoised arrays are shared, not copied: [[GraphOps.collectEdges]]
+  * returns them as they are, and `DriverAdj`, `FlowNetwork` and the
+  * effective-resistance cache keep references to them. Callers must never
+  * mutate them.
+  *
+  * [[numEdges]] is the length of [[edgeArrays]], so counting a graph
+  * collects it and is subject to the driver-collection cap of
+  * [[GraphOps.collectEdges]] (2M vertices), failing with the same message.
+  *
   * @param name stable identity used for driver-side caches (e.g. effective
   *             resistances, Jaccard scores) — two graphs with the same name
   *             are assumed identical.
@@ -28,8 +45,39 @@ final case class SparkGraph(
 
   def spark: SparkSession = edges.sparkSession
 
+  /** The edges as driver arrays (src, dst, weight), in the row order
+    * `collect()` returns. One Spark action per instance; shared, never to be
+    * mutated (see class doc).
+    */
+  lazy val edgeArrays: (Array[Int], Array[Int], Array[Double]) = {
+    require(numVertices <= 2_000_000, s"graph $name too large for driver collection")
+    val rows = edges.select("src", "dst", "weight").collect()
+    val s = new Array[Int](rows.length)
+    val d = new Array[Int](rows.length)
+    val w = new Array[Double](rows.length)
+    var i = 0
+    while (i < rows.length) {
+      val r = rows(i)
+      s(i) = r.getLong(0).toInt; d(i) = r.getLong(1).toInt; w(i) = r.getDouble(2)
+      i += 1
+    }
+    (s, d, w)
+  }
+
   /** Number of (canonical) edges. */
-  def numEdges: Long = edges.count()
+  lazy val numEdges: Long = edgeArrays._1.length.toLong
+
+  /** Undirected (total) degree of every vertex `0 until numVertices`,
+    * isolated vertices included as 0 — the array form of
+    * [[GraphOps.totalDegrees]]. Shared, never to be mutated.
+    */
+  lazy val totalDegreeArray: Array[Int] = {
+    val (s, d, _) = edgeArrays
+    val deg = new Array[Int](numVertices.toInt)
+    var i = 0
+    while (i < s.length) { deg(s(i)) += 1; deg(d(i)) += 1; i += 1 }
+    deg
+  }
 
   /** Replace the edge set, keeping direction/weight/vertex-count metadata. */
   def withEdges(e: DataFrame, suffix: String): SparkGraph =
@@ -88,30 +136,16 @@ object GraphOps {
       directed = false)
 
   /** Count of vertices with no incident edge. */
-  def isolatedCount(g: SparkGraph): Long = {
-    val touched = g.edges.select(col("src") as "v")
-      .union(g.edges.select(col("dst") as "v")).distinct().count()
-    g.numVertices - touched
-  }
+  def isolatedCount(g: SparkGraph): Long =
+    g.totalDegreeArray.count(_ == 0).toLong
 
-  /** Collect edges to driver arrays (src, dst, weight) — the substrate for
-    * inherently sequential algorithms. Fails fast if the graph does not fit
-    * comfortably on the driver.
+  /** Driver arrays (src, dst, weight) — the substrate for inherently
+    * sequential algorithms. Returns the graph's memoised
+    * [[SparkGraph.edgeArrays]]: collected on first use, shared afterwards,
+    * never to be mutated. Fails fast if the graph does not fit comfortably
+    * on the driver.
     */
-  def collectEdges(g: SparkGraph): (Array[Int], Array[Int], Array[Double]) = {
-    require(g.numVertices <= 2_000_000, s"graph ${g.name} too large for driver collection")
-    val rows = g.edges.select("src", "dst", "weight").collect()
-    val s = new Array[Int](rows.length)
-    val d = new Array[Int](rows.length)
-    val w = new Array[Double](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      val r = rows(i)
-      s(i) = r.getLong(0).toInt; d(i) = r.getLong(1).toInt; w(i) = r.getDouble(2)
-      i += 1
-    }
-    (s, d, w)
-  }
+  def collectEdges(g: SparkGraph): (Array[Int], Array[Int], Array[Double]) = g.edgeArrays
 
   /** Build a SparkGraph from driver-side arrays (canonicalized). */
   def fromArrays(

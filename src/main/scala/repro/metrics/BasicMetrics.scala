@@ -1,7 +1,7 @@
 package repro.metrics
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, sum}
 import scala.util.Random
 import repro.core.{GraphOps, SparkGraph}
 
@@ -44,14 +44,11 @@ object DegreeDistribution {
 
   /** Degree histogram (vertices with no edge count as degree 0). */
   def histogram(g: SparkGraph, maxDeg: Int): Array[Double] = {
-    val degs = GraphOps.totalDegrees(g).collect().map(_.getLong(1))
-    val nZero = g.numVertices - degs.length
     val bins = new Array[Double](NumBins)
     // 100 bins over THIS graph's [0, maxDeg] — fractional widths are the
     // point: relative (not absolute) degree position is compared.
     val width = (maxDeg + 1).toDouble / NumBins
-    bins(0) += nZero.toDouble
-    degs.foreach { d => bins(math.min(NumBins - 1, (d / width).toInt)) += 1.0 }
+    g.totalDegreeArray.foreach { d => bins(math.min(NumBins - 1, (d / width).toInt)) += 1.0 }
     val total = bins.sum
     bins.map(_ / total)
   }
@@ -63,10 +60,7 @@ object DegreeDistribution {
     math.max(0.0, -math.log(math.max(bc, 1e-300)))
   }
 
-  private def maxDeg(g: SparkGraph): Int = {
-    val r = GraphOps.totalDegrees(g).agg(max("deg")).collect()(0)
-    if (r.isNullAt(0)) 0 else r.getLong(0).toInt
-  }
+  private def maxDeg(g: SparkGraph): Int = g.totalDegreeArray.foldLeft(0)(math.max)
 
   /** Distance between the original and sparsified degree distributions,
     * each binned over its own degree range (see class doc).
