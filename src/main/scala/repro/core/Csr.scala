@@ -1,26 +1,40 @@
-package repro.metrics
+package repro.core
 
 import scala.collection.mutable
-import repro.core.{GraphOps, SparkGraph}
 
-/** Immutable CSR adjacency on the driver — the substrate for the iterative
-  * metrics (BFS/Dijkstra distances, Brandes betweenness, power iterations,
-  * Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges (DESIGN.md),
-  * so collected arrays are the right tool; bulk per-edge metrics stay in
-  * DataFrames.
+/** Immutable CSR adjacency on the driver — the one adjacency type behind
+  * every driver-side algorithm: the traversal sparsifiers (Rank Degree's
+  * frontier expansion, Forest Fire's random walks) and the iterative metrics
+  * (BFS/Dijkstra distances, Brandes betweenness, power iterations, Louvain,
+  * max-flow pair sampling). Graphs in this repro are ≤ ~10⁵ edges
+  * (DESIGN.md), so collected arrays are the right tool; bulk per-edge
+  * metrics stay in DataFrames.
+  *
+  * A graph builds its CSRs once per instance ([[SparkGraph.csr]],
+  * [[SparkGraph.undirectedCsr]]). Every arc carries the index of the edge
+  * it came from (`arcEdge`), so a kept-edge bitset maps straight back to
+  * the graph's [[SparkGraph.edgeArrays]].
   */
 final class Csr(
     val n: Int,
     val offsets: Array[Int],
     val nbrs: Array[Int],
-    val wts: Array[Double]) {
+    val wts: Array[Double],
+    val arcEdge: Array[Int]) {
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
   def maxDegree: Int = if (n == 0) 0 else (0 until n).map(degree).max
 
+  /** Iterate (neighbour, weight) pairs of v. */
   @inline def foreachNbr(v: Int)(f: (Int, Double) => Unit): Unit = {
     var i = offsets(v)
     while (i < offsets(v + 1)) { f(nbrs(i), wts(i)); i += 1 }
+  }
+
+  /** Iterate (neighbour, edge index) pairs of v. */
+  @inline def foreachArc(v: Int)(f: (Int, Int) => Unit): Unit = {
+    var i = offsets(v)
+    while (i < offsets(v + 1)) { f(nbrs(i), arcEdge(i)); i += 1 }
   }
 
   /** Unweighted BFS distances from `s`; -1 = unreachable. */
@@ -89,15 +103,10 @@ final class Csr(
 
 object Csr {
 
-  /** Build from a SparkGraph. `symmetric = true` (default) gives the
-    * undirected view used by distance/clustering metrics; `false` keeps
-    * directed out-adjacency (PageRank, left-eigenvector, Katz).
+  /** Arcs of the edges (src(i), dst(i), wt(i)) over vertices `0 until n`,
+    * filled in edge order: each edge adds its src→dst arc and, when
+    * `bothDirections`, its dst→src arc.
     */
-  def fromGraph(g: SparkGraph, symmetric: Boolean = true): Csr = {
-    val (src, dst, wt) = GraphOps.collectEdges(g)
-    fromArrays(g.numVertices.toInt, src, dst, wt, bothDirections = symmetric || !g.directed)
-  }
-
   def fromArrays(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double],
                  bothDirections: Boolean): Csr = {
     val m = src.length
@@ -114,13 +123,14 @@ object Csr {
     val sz = if (bothDirections) 2 * m else m
     val tgt = new Array[Int](sz)
     val w = new Array[Double](sz)
+    val eid = new Array[Int](sz)
     val cur = deg.clone()
     i = 0
     while (i < m) {
-      tgt(cur(src(i))) = dst(i); w(cur(src(i))) = wt(i); cur(src(i)) += 1
-      if (bothDirections) { tgt(cur(dst(i))) = src(i); w(cur(dst(i))) = wt(i); cur(dst(i)) += 1 }
+      tgt(cur(src(i))) = dst(i); w(cur(src(i))) = wt(i); eid(cur(src(i))) = i; cur(src(i)) += 1
+      if (bothDirections) { tgt(cur(dst(i))) = src(i); w(cur(dst(i))) = wt(i); eid(cur(dst(i))) = i; cur(dst(i)) += 1 }
       i += 1
     }
-    new Csr(n, off, tgt, w)
+    new Csr(n, off, tgt, w, eid)
   }
 }

@@ -15,26 +15,31 @@ import org.apache.spark.sql.functions._
   * no edge) — sparsification keeps the vertex set fixed (edge sparsification
   * only, §2.1 of the paper).
   *
-  * The edges are collected to the driver once per instance
-  * ([[edgeArrays]]); [[numEdges]], [[GraphOps.collectEdges]] and
-  * [[totalDegreeArray]] all read that one copy, so every consumer of a graph
-  * sees the same edge set even when `edges` is a non-deterministic plan
-  * (Random and K-Neighbor draw from `rand(seed)`, whose sample depends on
-  * how the plan is partitioned). `copy`, [[withEdges]] and
-  * [[GraphOps.symmetrize]] build new instances, which start uncollected.
+  * The instance is the only owner of state derived from its edges. Each
+  * view below is computed on first use and kept for the instance's
+  * lifetime: the collected [[edgeArrays]] (one Spark action), and from
+  * them [[numEdges]], [[totalDegreeArray]], the CSRs [[csr]] and
+  * [[undirectedCsr]], the [[undirected]] graph, the Jaccard/SCAN
+  * [[similarityScores]] frame and the effective [[resistances]]. So every
+  * consumer of a graph sees the same edge set even when `edges` is a
+  * non-deterministic plan (Random and K-Neighbor draw from `rand(seed)`,
+  * whose sample depends on how the plan is partitioned), and a graph whose
+  * views are shared — a `Datasets` graph swept by several figures — pays
+  * for each once. `copy`, [[withEdges]] and [[undirected]] build new
+  * instances, which start with none of these computed.
   *
   * The memoised arrays are shared, not copied: [[GraphOps.collectEdges]]
-  * returns them as they are, and `DriverAdj`, `FlowNetwork` and the
-  * effective-resistance cache keep references to them. Callers must never
-  * mutate them.
+  * returns them as they are, `FlowNetwork` keeps references to them, and
+  * the CSRs' arc→edge index and [[resistances]] are aligned with them.
+  * Callers must never mutate them, nor the other memoised arrays.
   *
   * [[numEdges]] is the length of [[edgeArrays]], so counting a graph
   * collects it and is subject to the driver-collection cap of
   * [[GraphOps.collectEdges]] (2M vertices), failing with the same message.
   *
-  * @param name stable identity used for driver-side caches (e.g. effective
-  *             resistances, Jaccard scores) — two graphs with the same name
-  *             are assumed identical.
+  * @param name a label for messages and derived graphs' names (`#und`,
+  *             `#LD-0.5`, …). It is not a cache identity: two graphs that
+  *             share a name share no state.
   */
 final case class SparkGraph(
     name: String,
@@ -78,6 +83,45 @@ final case class SparkGraph(
     while (i < s.length) { deg(s(i)) += 1; deg(d(i)) += 1; i += 1 }
     deg
   }
+
+  /** Arcs as stored, built from [[edgeArrays]] in edge order: out-arcs
+    * for a directed graph, both directions otherwise. The substrate of the
+    * traversal sparsifiers and of the direction-aware metrics (PageRank,
+    * eigenvector, Katz).
+    */
+  lazy val csr: Csr =
+    Csr.fromArrays(numVertices.toInt, edgeArrays._1, edgeArrays._2, edgeArrays._3, bothDirections = !directed)
+
+  /** Both directions of every stored edge — the view of the distance,
+    * component and clustering metrics. For an undirected graph this is
+    * [[csr]] itself; for a directed one, reciprocal arcs stay separate
+    * (unlike [[undirected]], which merges them).
+    */
+  lazy val undirectedCsr: Csr =
+    if (!directed) csr
+    else Csr.fromArrays(numVertices.toInt, edgeArrays._1, edgeArrays._2, edgeArrays._3, bothDirections = true)
+
+  /** Undirected version of this graph (paper §3.1 step 2: symmetrize then
+    * canonicalize): the graph itself if undirected, else one new instance
+    * named `name#und`, so sparsifiers that need undirected input share its
+    * views (scores, resistances) across every cell of a sweep.
+    */
+  lazy val undirected: SparkGraph =
+    if (!directed) this
+    else copy(name = s"$name#und", edges = GraphOps.canonicalize(edges, directed = false), directed = false)
+
+  /** Per-edge similarity scores (see [[sparsifiers.SimilarityScores]]),
+    * persisted and counted on first use. They do not depend on the prune
+    * rate, so every ρ of a sweep reuses them.
+    */
+  lazy val similarityScores: DataFrame = sparsifiers.SimilarityScores.compute(this)
+
+  /** Exact effective resistance of every edge, aligned with [[edgeArrays]]
+    * (see [[sparsifiers.EffectiveResistance]]). The dense solve is the
+    * one-time cost the paper also amortises (§4.6); shared, never to be
+    * mutated.
+    */
+  lazy val resistances: Array[Double] = sparsifiers.EffectiveResistance.resistances(this)
 
   /** Replace the edge set, keeping direction/weight/vertex-count metadata. */
   def withEdges(e: DataFrame, suffix: String): SparkGraph =
@@ -125,16 +169,6 @@ object GraphOps {
     fwd.union(bwd).groupBy("v").agg(count(lit(1)) as "deg")
   }
 
-  /** Undirected version of a directed graph (paper §3.1 step 2: symmetrize
-    * then canonicalize). No-op for undirected graphs.
-    */
-  def symmetrize(g: SparkGraph): SparkGraph =
-    if (!g.directed) g
-    else g.copy(
-      name = s"${g.name}#und",
-      edges = canonicalize(g.edges, directed = false),
-      directed = false)
-
   /** Count of vertices with no incident edge. */
   def isolatedCount(g: SparkGraph): Long =
     g.totalDegreeArray.count(_ == 0).toLong
@@ -146,6 +180,18 @@ object GraphOps {
     * on the driver.
     */
   def collectEdges(g: SparkGraph): (Array[Int], Array[Int], Array[Double]) = g.edgeArrays
+
+  /** The subgraph of `g` made of the edges `i` of [[SparkGraph.edgeArrays]]
+    * with `keep.get(i)`, named `g.name#suffix`.
+    */
+  def subgraph(g: SparkGraph, keep: java.util.BitSet, suffix: String): SparkGraph = {
+    val (s, d, w) = g.edgeArrays
+    val ks = Array.newBuilder[Int]; val kd = Array.newBuilder[Int]; val kw = Array.newBuilder[Double]
+    var i = keep.nextSetBit(0)
+    while (i >= 0) { ks += s(i); kd += d(i); kw += w(i); i = keep.nextSetBit(i + 1) }
+    fromArrays(g.spark, s"${g.name}#$suffix", ks.result(), kd.result(), kw.result(),
+      g.directed, g.weighted, g.numVertices)
+  }
 
   /** Build a SparkGraph from driver-side arrays (canonicalized). */
   def fromArrays(

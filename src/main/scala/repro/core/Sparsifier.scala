@@ -35,11 +35,13 @@ trait Sparsifier {
   def sparsify(g: SparkGraph, pruneRate: Double, seed: Long): SparkGraph
 
   /** Framework entry point: symmetrizes directed inputs first when the
-    * algorithm only operates on undirected graphs (paper §3.1 step 2).
+    * algorithm only operates on undirected graphs (paper §3.1 step 2). The
+    * input's memoised [[SparkGraph.undirected]] is used, so every cell of a
+    * sweep shares its scores and resistances.
     */
   final def apply(g: SparkGraph, pruneRate: Double, seed: Long = 0L): SparkGraph = {
     require(pruneRate >= 0.0 && pruneRate < 1.0, s"prune rate $pruneRate out of [0,1)")
-    val in = if (g.directed && !supportsDirected) GraphOps.symmetrize(g) else g
+    val in = if (g.directed && !supportsDirected) g.undirected else g
     sparsify(in, pruneRate, seed)
   }
 

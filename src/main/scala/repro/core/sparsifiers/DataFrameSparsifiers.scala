@@ -111,7 +111,7 @@ final class LocalSimilarity extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val k = keepCount(g.numEdges, rho)
-    val sim = SimilarityScores.forGraph(g).select(col("src"), col("dst"), col("jaccard"))
+    val sim = g.similarityScores.select(col("src"), col("dst"), col("jaccard"))
     // Jaccard is symmetric: build both arcs with the same orderVal.
     val fwd = sim.select(col("src") as "u", col("dst") as "v", col("jaccard") as "orderVal")
     val arcs = if (g.directed) fwd else fwd.union(
@@ -135,7 +135,7 @@ final class LSpar extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val target = keepCount(g.numEdges, rho).toLong
-    val sim = SimilarityScores.forGraph(g).select(col("src"), col("dst"), col("jaccard"))
+    val sim = g.similarityScores.select(col("src"), col("dst"), col("jaccard"))
     val fwd = sim.select(col("src") as "u", col("dst") as "v", col("jaccard") as "orderVal")
     val arcs = if (g.directed) fwd else fwd.union(
       sim.select(col("dst") as "u", col("src") as "v", col("jaccard") as "orderVal"))
@@ -158,7 +158,7 @@ final class GSpar extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val k = keepCount(g.numEdges, rho)
-    val scored = SimilarityScores.forGraph(g).withColumn("__score", -col("jaccard"))
+    val scored = g.similarityScores.withColumn("__score", -col("jaccard"))
     g.withEdges(DfUtil.keepSmallest(scored, k), s"GS-$rho")
   }
 }
@@ -174,7 +174,7 @@ final class Scan extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val k = keepCount(g.numEdges, rho)
-    val scored = SimilarityScores.forGraph(g).withColumn("__score", -col("scan"))
+    val scored = g.similarityScores.withColumn("__score", -col("scan"))
     g.withEdges(DfUtil.keepSmallest(scored, k), s"SCAN-$rho")
   }
 }

@@ -1,7 +1,6 @@
 package repro.core.sparsifiers
 
 import breeze.linalg.{inv, DenseMatrix}
-import scala.collection.concurrent.TrieMap
 import scala.util.Random
 import repro.core.{GraphOps, PruneRateControl, SparkGraph, Sparsifier}
 
@@ -29,11 +28,9 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
   override val changesWeights = reweight
   val deterministic = false
 
-  /** Max vertices for the dense solve; our datasets stay well below this. */
-  private val maxN = 6000
-
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val (src, dst, wt, r) = EffectiveResistance.resistances(g, maxN)
+    val (src, dst, wt) = g.edgeArrays
+    val r = g.resistances
     val m = src.length
     val target = keepCount(m, rho)
 
@@ -65,38 +62,37 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
 
 object EffectiveResistance {
 
-  /** Cache of exact resistances keyed by graph name: (src, dst, w, R). The
-    * dense inverse is the expensive one-time cost the paper also amortises
-    * ("we do not include the computation time of the effective resistance
-    * because it is a one-time cost", §4.6).
+  /** Max vertices for the dense solve (an n×n matrix of doubles, 288 MB at
+    * the cap); our datasets stay well below this.
     */
-  private val cache = TrieMap.empty[String, (Array[Int], Array[Int], Array[Double], Array[Double])]
+  val MaxVertices = 6000
 
-  def resistances(g: SparkGraph, maxN: Int): (Array[Int], Array[Int], Array[Double], Array[Double]) =
-    cache.getOrElseUpdate(g.name, {
-      require(!g.directed, "ER requires an undirected graph (symmetrize first)")
-      val n = g.numVertices.toInt
-      require(n <= maxN, s"dense ER solve capped at $maxN vertices (got $n)")
-      val (src, dst, wt) = GraphOps.collectEdges(g)
-      val a = DenseMatrix.zeros[Double](n, n)
-      val jn = 1.0 / n
-      var i = 0
-      while (i < n) { var j = 0; while (j < n) { a(i, j) = jn; j += 1 }; i += 1 }
-      i = 0
-      while (i < n) { a(i, i) += 1e-9 * n; i += 1 }
-      i = 0
-      while (i < src.length) {
-        val (u, v, w) = (src(i), dst(i), wt(i))
-        a(u, u) += w; a(v, v) += w; a(u, v) -= w; a(v, u) -= w
-        i += 1
-      }
-      val minv = inv(a)
-      val r = Array.tabulate(src.length) { e =>
-        val (u, v) = (src(e), dst(e))
-        math.max(minv(u, u) + minv(v, v) - 2 * minv(u, v), 0.0)
-      }
-      (src, dst, wt, r)
-    })
-
-  def clearCache(): Unit = cache.clear()
+  /** Exact resistances of `g`'s edges, aligned with [[SparkGraph.edgeArrays]].
+    * Read them through [[SparkGraph.resistances]], which solves once per
+    * graph instance.
+    */
+  private[core] def resistances(g: SparkGraph): Array[Double] = {
+    require(!g.directed, s"ER requires an undirected graph (got ${g.name}; use its `undirected` view)")
+    require(g.numVertices <= MaxVertices,
+      s"dense ER solve on ${g.name}: ${g.numVertices} vertices exceeds the cap of $MaxVertices")
+    val n = g.numVertices.toInt
+    val (src, dst, wt) = g.edgeArrays
+    val a = DenseMatrix.zeros[Double](n, n)
+    val jn = 1.0 / n
+    var i = 0
+    while (i < n) { var j = 0; while (j < n) { a(i, j) = jn; j += 1 }; i += 1 }
+    i = 0
+    while (i < n) { a(i, i) += 1e-9 * n; i += 1 }
+    i = 0
+    while (i < src.length) {
+      val (u, v, w) = (src(i), dst(i), wt(i))
+      a(u, u) += w; a(v, v) += w; a(u, v) -= w; a(v, u) -= w
+      i += 1
+    }
+    val minv = inv(a)
+    Array.tabulate(src.length) { e =>
+      val (u, v) = (src(e), dst(e))
+      math.max(minv(u, u) + minv(v, v) - 2 * minv(u, v), 0.0)
+    }
+  }
 }

@@ -3,11 +3,11 @@ package repro.core.sparsifiers
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, SparkGraph}
-import scala.collection.concurrent.TrieMap
 
 /** Per-edge similarity scores shared by G-Spar, L-Spar, Local Similarity and
-  * SCAN — computed once per graph with Catalyst joins and cached (the scores
-  * do not depend on the prune rate, so re-use across the ρ sweep matters).
+  * SCAN — computed with Catalyst joins once per graph instance, which holds
+  * them as [[SparkGraph.similarityScores]] (the scores do not depend on the
+  * prune rate, so re-use across the ρ sweep matters).
   *
   * For an edge (u,v):
   *   - `common`  = |N(u) ∩ N(v)| (out-neighbourhoods for directed graphs),
@@ -16,12 +16,11 @@ import scala.collection.concurrent.TrieMap
   */
 object SimilarityScores {
 
-  private val cache = TrieMap.empty[String, DataFrame]
-
   /** Edge DataFrame with columns (src, dst, weight, degSrc, degDst, common,
-    * jaccard, scan). One row per canonical edge of `g`.
+    * jaccard, scan). One row per canonical edge of `g`. Persisted and
+    * counted; read it through [[SparkGraph.similarityScores]].
     */
-  def forGraph(g: SparkGraph): DataFrame = cache.getOrElseUpdate(g.name, {
+  private[core] def compute(g: SparkGraph): DataFrame = {
     val arcs = GraphOps.arcs(g)
     val deg  = GraphOps.degrees(g)
 
@@ -47,13 +46,7 @@ object SimilarityScores {
         (col("common") + 1) / sqrt((col("degSrc") + 1) * (col("degDst") + 1)))
       .select("src", "dst", "weight", "degSrc", "degDst", "common", "jaccard", "scan")
       .persist()
-    scored.count() // materialize so the cache actually caches work
+    scored.count() // materialize so the persisted frame holds the work
     scored
-  })
-
-  /** Drop cached score frames (tests that build many graphs call this). */
-  def clear(): Unit = {
-    cache.values.foreach(_.unpersist())
-    cache.clear()
   }
 }

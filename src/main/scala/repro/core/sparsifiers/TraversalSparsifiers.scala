@@ -3,7 +3,7 @@ package repro.core.sparsifiers
 import java.util.BitSet
 import scala.collection.mutable
 import scala.util.Random
-import repro.core.{PruneRateControl, SparkGraph, Sparsifier}
+import repro.core.{GraphOps, PruneRateControl, SparkGraph, Sparsifier}
 
 /** Rank Degree (§2.3.3, Voudigari et al.): start from random seed vertices;
   * each seed adds edges to its top-k neighbours ranked by degree (descending);
@@ -17,10 +17,11 @@ final class RankDegree(topK: Int = 3) extends Sparsifier {
   val deterministic = false
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val adj = DriverAdj.fromGraph(g)
-    val target = keepCount(adj.m, rho)
+    val adj = g.csr
+    val m = g.numEdges.toInt
+    val target = keepCount(m, rho)
     val rng = new Random(seed)
-    val kept = new BitSet(adj.m)
+    val kept = new BitSet(m)
     var nKept = 0
     val inGraph = new Array[Boolean](adj.n)
     val frontier = mutable.Queue.empty[Int]
@@ -37,7 +38,7 @@ final class RankDegree(topK: Int = 3) extends Sparsifier {
         val u = frontier.dequeue()
         // Rank u's neighbours by degree descending (random tie-break).
         val cand = mutable.ArrayBuffer.empty[(Int, Int)] // (nbr, eid)
-        adj.foreachNbr(u)((v, e) => if (!kept.get(e)) cand += ((v, e)))
+        adj.foreachArc(u)((v, e) => if (!kept.get(e)) cand += ((v, e)))
         val ranked = rng.shuffle(cand.toSeq).sortBy { case (v, _) => -adj.degree(v) }
         ranked.take(topK).foreach { case (v, e) =>
           if (nKept < target && !kept.get(e)) {
@@ -47,7 +48,7 @@ final class RankDegree(topK: Int = 3) extends Sparsifier {
         }
       }
     }
-    DriverAdj.subgraph(g, adj, kept, s"RD-$rho-$seed")
+    GraphOps.subgraph(g, kept, s"RD-$rho-$seed")
   }
 }
 
@@ -63,18 +64,19 @@ final class ForestFire(p: Double = 0.7, burnRounds: Double = 3.0) extends Sparsi
   val deterministic = false
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val adj = DriverAdj.fromGraph(g)
-    val target = keepCount(adj.m, rho)
+    val adj = g.csr
+    val m = g.numEdges.toInt
+    val target = keepCount(m, rho)
     val rng = new Random(seed)
-    val burns = new Array[Int](adj.m)
+    val burns = new Array[Int](m)
     val nonIsolated = (0 until adj.n).filter(adj.degree(_) > 0).toArray
     if (nonIsolated.nonEmpty) {
       var totalBurns = 0L
-      val targetBurns = (burnRounds * adj.m).toLong
+      val targetBurns = (burnRounds * m).toLong
       val visited = new Array[Int](adj.n) // fire-id stamps avoid clearing
       java.util.Arrays.fill(visited, -1)
       var fireId = 0
-      val maxFires = 50 * (adj.m / math.max(1, nonIsolated.length) + 1) * nonIsolated.length
+      val maxFires = 50 * (m / math.max(1, nonIsolated.length) + 1) * nonIsolated.length
       while (totalBurns < targetBurns && fireId < maxFires) {
         val start = nonIsolated(rng.nextInt(nonIsolated.length))
         val queue = mutable.Queue(start)
@@ -87,7 +89,7 @@ final class ForestFire(p: Double = 0.7, burnRounds: Double = 3.0) extends Sparsi
           while (rng.nextDouble() < p) toBurn += 1
           if (toBurn > 0) {
             val cand = mutable.ArrayBuffer.empty[(Int, Int)]
-            adj.foreachNbr(u)((v, e) => if (visited(v) != fireId) cand += ((v, e)))
+            adj.foreachArc(u)((v, e) => if (visited(v) != fireId) cand += ((v, e)))
             rng.shuffle(cand.toSeq).take(toBurn).foreach { case (v, e) =>
               burns(e) += 1; totalBurns += 1; burned += 1
               visited(v) = fireId; queue.enqueue(v)
@@ -98,11 +100,11 @@ final class ForestFire(p: Double = 0.7, burnRounds: Double = 3.0) extends Sparsi
       }
     }
     // Keep top-K edges by burn frequency, random tie-break.
-    val order = (0 until adj.m).map(e => (e, burns(e), rng.nextDouble()))
+    val order = (0 until m).map(e => (e, burns(e), rng.nextDouble()))
       .sortBy { case (_, b, r) => (-b, r) }
-    val kept = new BitSet(adj.m)
+    val kept = new BitSet(m)
     order.take(target).foreach { case (e, _, _) => kept.set(e) }
-    DriverAdj.subgraph(g, adj, kept, s"FF-$rho-$seed")
+    GraphOps.subgraph(g, kept, s"FF-$rho-$seed")
   }
 }
 
@@ -117,16 +119,16 @@ final class SpanningForest extends Sparsifier {
   val deterministic = true
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val adj = DriverAdj.fromGraph(g)
-    val parent = Array.tabulate(adj.n)(identity)
+    val (src, dst, wt) = g.edgeArrays
+    val parent = Array.tabulate(g.numVertices.toInt)(identity)
     def find(x: Int): Int = { var r = x; while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }; r }
-    val kept = new BitSet(adj.m)
-    val order = (0 until adj.m).sortBy(e => (adj.wt(e), adj.src(e), adj.dst(e)))
+    val kept = new BitSet(src.length)
+    val order = src.indices.sortBy(e => (wt(e), src(e), dst(e)))
     order.foreach { e =>
-      val (ru, rv) = (find(adj.src(e)), find(adj.dst(e)))
+      val (ru, rv) = (find(src(e)), find(dst(e)))
       if (ru != rv) { parent(ru) = rv; kept.set(e) }
     }
-    DriverAdj.subgraph(g, adj, kept, "SF")
+    GraphOps.subgraph(g, kept, "SF")
   }
 }
 
@@ -142,11 +144,11 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
   val deterministic = true
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val adj = DriverAdj.fromGraph(g)
-    val n = adj.n
+    val (src, dst, wt) = g.edgeArrays
+    val n = g.numVertices.toInt
     // Growing spanner adjacency as nested buffers (edge additions are rare).
     val h = Array.fill(n)(mutable.ArrayBuffer.empty[(Int, Double)])
-    val kept = new BitSet(adj.m)
+    val kept = new BitSet(src.length)
     val dist = new Array[Double](n)
     val stamp = new Array[Int](n)
     var curStamp = 0
@@ -171,14 +173,14 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
       false
     }
 
-    val order = (0 until adj.m).sortBy(e => (adj.wt(e), adj.src(e), adj.dst(e)))
+    val order = src.indices.sortBy(e => (wt(e), src(e), dst(e)))
     order.foreach { e =>
-      val (u, v, w) = (adj.src(e), adj.dst(e), adj.wt(e))
+      val (u, v, w) = (src(e), dst(e), wt(e))
       if (!within(u, v, t * w)) {
         kept.set(e)
         h(u) += ((v, w)); h(v) += ((u, w))
       }
     }
-    DriverAdj.subgraph(g, adj, kept, s"SP$t")
+    GraphOps.subgraph(g, kept, s"SP$t")
   }
 }

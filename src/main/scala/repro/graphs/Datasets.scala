@@ -28,8 +28,10 @@ final case class GnnData(
   * connectivity, ~100× smaller so the full N×N×ρ sweep runs on one machine.
   *
   * `scale` multiplies vertex counts (tests use 0.25, benches 1.0). Graphs
-  * are cached per (name, scale) because sparsifier score/resistance caches
-  * key on graph identity.
+  * are cached per (name, scale): that key fully determines the generated
+  * graph, so figures that share a dataset share one instance and with it
+  * the views the instance memoises (collected edges, CSRs, similarity
+  * scores, effective resistances).
   */
 object Datasets {
 

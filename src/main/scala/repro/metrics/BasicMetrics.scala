@@ -19,7 +19,7 @@ object Connectivity {
   def unreachableRatio(g: SparkGraph): Double = {
     val n = g.numVertices.toDouble
     if (n < 2) return 0.0
-    val comp = Csr.fromGraph(g, symmetric = true).components()
+    val comp = g.undirectedCsr.components()
     val sizes = comp.groupBy(identity).map(_._2.length.toDouble)
     val reachablePairs = sizes.map(s => s * (s - 1)).sum
     1.0 - reachablePairs / (n * (n - 1))

@@ -16,7 +16,7 @@ object Centrality {
 
   /** Exact Brandes betweenness on the undirected (symmetrized) view. */
   def betweenness(g: SparkGraph): Array[Double] = {
-    val c = Csr.fromGraph(g, symmetric = true)
+    val c = g.undirectedCsr
     val n = c.n
     val bc = new Array[Double](n)
     val sigma = new Array[Double](n)
@@ -55,7 +55,7 @@ object Centrality {
 
   /** Closeness C(v) = 1/Σ_u d(u,v) over vertices reachable from v. */
   def closeness(g: SparkGraph): Array[Double] = {
-    val c = Csr.fromGraph(g, symmetric = true)
+    val c = g.undirectedCsr
     Array.tabulate(c.n) { v =>
       if (c.degree(v) == 0) 0.0
       else {
@@ -72,7 +72,7 @@ object Centrality {
     * (x ← xA, i.e. score flows u→v along each arc).
     */
   def eigenvector(g: SparkGraph, iters: Int = 100): Array[Double] = {
-    val c = Csr.fromGraph(g, symmetric = !g.directed)
+    val c = g.csr
     val n = c.n
     var x = Array.fill(n)(1.0 / math.sqrt(n.toDouble))
     var it = 0
@@ -94,9 +94,9 @@ object Centrality {
     * x ← αAᵀ(x + 1); α = 1/(maxDegree+1) per §2.2.3 (computed per graph).
     */
   def katz(g: SparkGraph, iters: Int = 200): Array[Double] = {
-    val c = Csr.fromGraph(g, symmetric = !g.directed)
+    val c = g.csr
     val n = c.n
-    val maxDeg = Csr.fromGraph(g, symmetric = true).maxDegree
+    val maxDeg = g.undirectedCsr.maxDegree
     val alpha = 1.0 / (maxDeg + 1.0)
     var x = new Array[Double](n)
     var it = 0
@@ -113,33 +113,6 @@ object Centrality {
       it += 1
     }
     x
-  }
-
-  /** Driver reference PageRank (damping 0.85, dangling mass redistributed
-    * uniformly) — the correctness oracle for the DataFrame implementation.
-    */
-  def pagerankDriver(g: SparkGraph, iters: Int = 20, d: Double = 0.85): Array[Double] = {
-    val c = Csr.fromGraph(g, symmetric = !g.directed)
-    val n = c.n
-    val outW = Array.tabulate(n) { u => var s = 0.0; c.foreachNbr(u)((_, w) => s += w); s }
-    var pr = Array.fill(n)(1.0 / n)
-    var it = 0
-    while (it < iters) {
-      val nx = Array.fill(n)((1.0 - d) / n)
-      var dangling = 0.0
-      var u = 0
-      while (u < n) {
-        if (outW(u) > 0) c.foreachNbr(u)((v, w) => nx(v) += d * pr(u) * w / outW(u))
-        else dangling += pr(u)
-        u += 1
-      }
-      val share = d * dangling / n
-      var i = 0
-      while (i < n) { nx(i) += share; i += 1 }
-      pr = nx
-      it += 1
-    }
-    pr
   }
 
   /** Top-k precision (§3.3.3): overlap of the top-k vertex sets, ties broken

@@ -17,7 +17,7 @@ object ClusteringCoeffs {
     * once via the oriented wedge join a<b<c.
     */
   def trianglesPerVertex(g: SparkGraph): DataFrame = {
-    val und = GraphOps.symmetrize(g)
+    val und = g.undirected
     val e = und.edges.select(col("src"), col("dst")) // src < dst canonical
     val tri = e.as("ab")
       .join(e.as("bc"), col("ab.dst") === col("bc.src"))
@@ -32,7 +32,7 @@ object ClusteringCoeffs {
 
   /** Total triangle count. */
   def triangleCount(g: SparkGraph): Long = {
-    val und = GraphOps.symmetrize(g)
+    val und = g.undirected
     val e = und.edges.select(col("src"), col("dst"))
     e.as("ab")
       .join(e.as("bc"), col("ab.dst") === col("bc.src"))
@@ -45,7 +45,7 @@ object ClusteringCoeffs {
     * value is comparable across prune rates with a fixed vertex set.
     */
   def mcc(g: SparkGraph): Double = {
-    val und = GraphOps.symmetrize(g)
+    val und = g.undirected
     val deg = GraphOps.degrees(und)
     val lccSum = deg
       .join(trianglesPerVertex(g), Seq("v"), "left")
@@ -58,7 +58,7 @@ object ClusteringCoeffs {
 
   /** Global clustering coefficient = 3·triangles / wedges. */
   def gcc(g: SparkGraph): Double = {
-    val und = GraphOps.symmetrize(g)
+    val und = g.undirected
     val wedges = GraphOps.degrees(und)
       .select(sum(col("deg") * (col("deg") - 1) / 2) as "w")
       .collect()(0).getDouble(0)

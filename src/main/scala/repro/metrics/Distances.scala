@@ -1,7 +1,7 @@
 package repro.metrics
 
 import scala.util.Random
-import repro.core.SparkGraph
+import repro.core.{Csr, SparkGraph}
 
 /** Distance metrics (§2.2.2, measured per §3.3.2): sampled-pair shortest
   * paths (SPSP), sampled-source eccentricity, and the iterated double-sweep
@@ -18,8 +18,8 @@ object Distances {
     * <20%-over-original acceptability constraint on that fraction).
     */
   def spspStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 2000, seed: Long = 0): StretchResult = {
-    val co = Csr.fromGraph(orig, symmetric = true)
-    val cs = Csr.fromGraph(spar, symmetric = true)
+    val co = orig.undirectedCsr
+    val cs = spar.undirectedCsr
     val comp = co.components()
     val rng = new Random(seed)
     val n = co.n
@@ -71,8 +71,8 @@ object Distances {
     * vertex-isolated constraint).
     */
   def eccentricityStretch(orig: SparkGraph, spar: SparkGraph, nSources: Int = 200, seed: Long = 0): StretchResult = {
-    val co = Csr.fromGraph(orig, symmetric = true)
-    val cs = Csr.fromGraph(spar, symmetric = true)
+    val co = orig.undirectedCsr
+    val cs = spar.undirectedCsr
     val rng = new Random(seed)
     val candidates = (0 until co.n).filter(co.degree(_) > 0)
     if (candidates.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
@@ -94,7 +94,7 @@ object Distances {
     * farthest vertex, restart from it, repeat; mean over `nSeeds` seeds.
     */
   def approxDiameter(g: SparkGraph, nSeeds: Int = 10, seed: Long = 0): Double = {
-    val c = Csr.fromGraph(g, symmetric = true)
+    val c = g.undirectedCsr
     val rng = new Random(seed)
     val candidates = (0 until c.n).filter(c.degree(_) > 0)
     if (candidates.isEmpty) return 0.0

@@ -36,7 +36,7 @@ object Gnn {
     */
   def propagate(g: SparkGraph, x: DenseMatrix[Double], hops: Int,
                 restrict: Option[Array[Int]] = None): DenseMatrix[Double] = {
-    val c = Csr.fromGraph(g, symmetric = true)
+    val c = g.undirectedCsr
     var h = x
     var hop = 0
     while (hop < hops) {

@@ -14,7 +14,7 @@ object Louvain {
 
   /** Community label per vertex. Isolated vertices get singleton labels. */
   def cluster(g: SparkGraph, seed: Long = 0): Array[Int] = {
-    val c0 = Csr.fromGraph(g, symmetric = true)
+    val c0 = g.undirectedCsr
     // Current coarse graph as adjacency maps; node i of the coarse graph
     // aggregates a set of original vertices tracked in `membership`.
     var adj: Array[mutable.LongMap[Double]] = Array.tabulate(c0.n) { v =>

@@ -81,7 +81,7 @@ object MaxFlow {
     * excluded from the mean and reported (Fig 12's unreachable constraint).
     */
   def flowStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 150, seed: Long = 0): FlowStretch = {
-    val comp = Csr.fromGraph(orig, symmetric = true).components()
+    val comp = orig.undirectedCsr.components()
     val no = network(orig)
     val ns = network(spar)
     val rng = new Random(seed)

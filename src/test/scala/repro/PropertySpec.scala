@@ -78,7 +78,7 @@ class PropertySpec extends SparkSpec {
       val edges = Seq.fill(2 * n)((rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
       if (edges.nonEmpty) {
         val g = GraphOps.fromPairs(spark, s"prop-bfs-$it", edges, directed = false, n)
-        val d = Csr.fromGraph(g).bfs(edges.head._1)
+        val d = g.undirectedCsr.bfs(edges.head._1)
         edges.foreach { case (u, v) =>
           if (d(u) >= 0 && d(v) >= 0) assert(math.abs(d(u) - d(v)) <= 1)
         }
@@ -93,7 +93,7 @@ class PropertySpec extends SparkSpec {
       val edges = Seq.fill(n)((rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
       if (edges.nonEmpty) {
         val g = GraphOps.fromPairs(spark, s"prop-cc-$it", edges, directed = false, n)
-        val c = Csr.fromGraph(g)
+        val c = g.undirectedCsr
         val comp = c.components()
         val d0 = c.bfs(0)
         (0 until n).foreach(v => assert((comp(v) == comp(0)) === (d0(v) >= 0)))
@@ -122,7 +122,7 @@ class PropertySpec extends SparkSpec {
       val edges = Seq.fill(3 * n)((rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
       if (edges.nonEmpty) {
         val g = GraphOps.fromPairs(spark, s"prop-mfb-$it", edges, directed = false, n)
-        val c = Csr.fromGraph(g)
+        val c = g.undirectedCsr
         val f = MaxFlow.network(g).maxFlow(0, n - 1)
         assert(f <= math.min(c.degree(0), c.degree(n - 1)) + 1e-9)
       }

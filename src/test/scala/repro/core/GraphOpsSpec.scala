@@ -69,13 +69,13 @@ class GraphOpsSpec extends SparkSpec {
 
   test("symmetrize merges reciprocal directed edges") {
     val g = fromPairs(spark, "recip", Seq((0, 1), (1, 0), (1, 2)), directed = true, 3)
-    val u = symmetrize(g)
+    val u = g.undirected
     assert(!u.directed)
     assert(u.numEdges === 2)
   }
 
   test("symmetrize is a no-op on undirected graphs") {
-    assert(symmetrize(triangle) eq triangle)
+    assert(triangle.undirected eq triangle)
   }
 
   test("isolatedCount counts untouched vertices") {

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.sparsifiers.SimilarityScores
 
 class SimilarityScoresSpec extends SparkSpec {
 
@@ -11,7 +10,7 @@ class SimilarityScoresSpec extends SparkSpec {
     Seq((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), directed = false, 4)
 
   test("common neighbour counts on the diamond graph") {
-    val s = SimilarityScores.forGraph(diamond).collect()
+    val s = diamond.similarityScores.collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(5)).toMap
     assert(s((0L, 1L)) === 2) // 2 and 3
     assert(s((0L, 2L)) === 1) // 1
@@ -19,7 +18,7 @@ class SimilarityScoresSpec extends SparkSpec {
   }
 
   test("jaccard scores on the diamond graph") {
-    val s = SimilarityScores.forGraph(diamond).collect()
+    val s = diamond.similarityScores.collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(6)).toMap
     // edge (0,1): |N∩|=2, |N∪|=3+3-2=4
     assert(math.abs(s((0L, 1L)) - 0.5) < 1e-12)
@@ -28,7 +27,7 @@ class SimilarityScoresSpec extends SparkSpec {
   }
 
   test("scan scores on the diamond graph follow the paper's formula") {
-    val s = SimilarityScores.forGraph(diamond).collect()
+    val s = diamond.similarityScores.collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(7)).toMap
     assert(math.abs(s((0L, 1L)) - 3.0 / math.sqrt(16.0)) < 1e-12)
     assert(math.abs(s((0L, 2L)) - 2.0 / math.sqrt(12.0)) < 1e-12)
@@ -36,7 +35,7 @@ class SimilarityScoresSpec extends SparkSpec {
 
   test("common-neighbour counts match DuckDB oracle") {
     val g = repro.graphs.Datasets.get(spark, "ca-HepPh", 0.08)
-    val sparkCommon = SimilarityScores.forGraph(g)
+    val sparkCommon = g.similarityScores
       .filter(col("common") > 0)
       .select(col("src"), col("dst"), col("common"))
     Oracle.assertEquivalent(
@@ -55,7 +54,7 @@ class SimilarityScoresSpec extends SparkSpec {
   test("isolated-endpoint edges get zero jaccard without crashing") {
     // star: leaves share no neighbours
     val star = GraphOps.fromPairs(spark, "star5", (1 to 4).map(i => (0, i)), directed = false, 5)
-    val s = SimilarityScores.forGraph(star).collect()
+    val s = star.similarityScores.collect()
     assert(s.length === 4)
     assert(s.forall(_.getDouble(6) === 0.0)) // no common neighbours anywhere
   }
@@ -63,7 +62,7 @@ class SimilarityScoresSpec extends SparkSpec {
   test("directed graphs use out-neighbourhoods") {
     // 0->2, 1->2 : edge (0,1) absent; edge 0->1 with both pointing at 2
     val g = GraphOps.fromPairs(spark, "dirsim", Seq((0, 1), (0, 2), (1, 2)), directed = true, 3)
-    val s = SimilarityScores.forGraph(g).collect()
+    val s = g.similarityScores.collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(5)).toMap
     // edge (0,1): N_out(0)={1,2}, N_out(1)={2} → common {2}
     assert(s((0L, 1L)) === 1)
@@ -72,8 +71,8 @@ class SimilarityScoresSpec extends SparkSpec {
   }
 
   test("score cache returns the same DataFrame instance per graph") {
-    val a = SimilarityScores.forGraph(diamond)
-    val b = SimilarityScores.forGraph(diamond)
+    val a = diamond.similarityScores
+    val b = diamond.similarityScores
     assert(a eq b)
   }
 }

@@ -3,11 +3,15 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.core.sparsifiers.EffectiveResistance
 import repro.graphs.Datasets
 import repro.metrics.DegreeDistribution
 
 /** A graph's edges are collected once per instance; `numEdges`,
   * `collectEdges`, the degree array and the degree metrics read that copy.
+  * The other derived views (CSRs, the undirected graph, similarity scores,
+  * resistances) are likewise computed once per instance and never shared
+  * between instances, whatever their names.
   */
 class SparkGraphSpec extends SparkSpec {
   import GraphOps._
@@ -132,7 +136,7 @@ class SparkGraphSpec extends SparkSpec {
     assert(c.numEdges === 1 && edgeSet(c) === Set((2, 3, 1.0)))
     assert(isolatedCount(c) === 3)
 
-    val u = symmetrize(g)
+    val u = g.undirected
     assert(u.numEdges === 3 && edgeSet(u) === Set((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
     assert(u.totalDegreeArray.toSeq === Seq(1, 2, 2, 1, 0))
     // the source's memo is untouched
@@ -150,6 +154,65 @@ class SparkGraphSpec extends SparkSpec {
     }
     assert(later === 0)
     assert(collectEdges(g)._1 eq collectEdges(g)._1)
+  }
+
+  test("each derived view is computed once per instance: a repeat read is the same object and submits no Spark job") {
+    val g = fromPairs(spark, "views", Seq((0, 1), (1, 0), (1, 2), (2, 3), (0, 2)), directed = true, 5)
+    def views(): Seq[AnyRef] =
+      Seq(g.csr, g.undirectedCsr, g.undirected, g.similarityScores, g.undirected.resistances)
+    val first = views()
+    var again: Seq[AnyRef] = Nil
+    assert(jobsDuring { again = views() } === 0)
+    first.zip(again).foreach { case (a, b) => assert(a eq b) }
+    // a directed graph has two CSRs; an undirected one only one
+    assert(!(g.csr eq g.undirectedCsr))
+    assert(g.undirected.undirectedCsr eq g.undirected.csr)
+  }
+
+  test("copy and withEdges start with none of the source's views") {
+    val g = fromPairs(spark, "fresh", Seq((0, 1), (1, 2), (2, 3), (3, 1)), directed = true, 5)
+    def views(x: SparkGraph): Seq[AnyRef] =
+      Seq(x.edgeArrays._1, x.csr, x.undirectedCsr, x.undirected, x.similarityScores, x.undirected.resistances)
+    val source = views(g)
+    for (h <- Seq(g.copy(), g.withEdges(g.edges, "same"))) {
+      assert(h.numEdges === g.numEdges)
+      views(h).zip(source).foreach { case (a, b) => assert(!(a eq b)) }
+    }
+  }
+
+  test("ER on a directed graph solves once per instance: every cell reads the undirected view's resistances") {
+    val g = Datasets.get(spark, "ego-Twitter", 0.1)
+    assert(g.directed)
+    Sparsifiers.erUnweighted(g, 0.5, seed = 1).numEdges
+    val u = g.undirected
+    // the first cell collected and solved this very view, so nothing is left to collect
+    var r: Array[Double] = null
+    assert(jobsDuring { r = u.resistances } === 0)
+    // later cells, of either variant, read the same array
+    Sparsifiers.erWeighted(g, 0.3, seed = 2).numEdges
+    Sparsifiers.erUnweighted(g, 0.7, seed = 3).numEdges
+    assert(g.undirected eq u)
+    assert(u.resistances eq r)
+  }
+
+  test("two graphs that share a name share no scores or resistances") {
+    // a 4-cycle on 0..3 and a path on 4..7: disjoint edge sets, one name
+    val a = fromPairs(spark, "twin", Seq((0, 1), (1, 2), (2, 3), (0, 3)), directed = false, 8)
+    val b = fromPairs(spark, "twin", Seq((4, 5), (5, 6), (6, 7)), directed = false, 8)
+    for (sp <- Seq(Sparsifiers.localSimilarity, Sparsifiers.gSpar); g <- Seq(a, b)) {
+      val h = sp(g, 0.4, seed = 0)
+      assert(edgeSet(h).subsetOf(edgeSet(g)), s"${sp.abbrev} on ${edgeSet(g)} kept ${edgeSet(h)}")
+      assert(h.numEdges === math.round(0.6 * g.numEdges))
+    }
+    // every edge of a 4-cycle has resistance 3/4, every edge of a tree 1
+    assert(a.resistances.length === 4 && a.resistances.forall(x => math.abs(x - 0.75) < 1e-6))
+    assert(b.resistances.length === 3 && b.resistances.forall(x => math.abs(x - 1.0) < 1e-6))
+  }
+
+  test("the dense ER solve fails over its cap with a message naming the graph, its size and the cap") {
+    val big = fromPairs(spark, "er-big", Seq((0, 1)), directed = false, EffectiveResistance.MaxVertices + 1L)
+    val e = intercept[IllegalArgumentException](big.resistances)
+    assert(e.getMessage.contains("dense ER solve on er-big: 6001 vertices exceeds the cap of 6000"))
   }
 
   test("numEdges is subject to the driver-collection cap") {

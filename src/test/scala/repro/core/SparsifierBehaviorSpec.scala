@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.sparsifiers._
 import repro.graphs.Datasets
-import repro.metrics.{Csr, QuadraticForm}
+import repro.metrics.QuadraticForm
 
 /** Algorithm-specific behaviour: the guarantees each sparsifier advertises
   * in §2.3 (connectivity, stretch bounds, score ordering, hub bias …).
@@ -34,7 +34,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
   // ---- Spanning Forest ----
   test("SF: output is a forest (|E| = n − #components)") {
     val h = Sparsifiers.spanningForest(fb, 0.5, 0)
-    val comps = Csr.fromGraph(h, symmetric = true).components()
+    val comps = h.undirectedCsr.components()
     val nComp = comps.distinct.length
     assert(h.numEdges === h.numVertices - nComp)
   }
@@ -42,8 +42,8 @@ class SparsifierBehaviorSpec extends SparkSpec {
   test("SF: preserves the component structure exactly") {
     val g = Datasets.get(spark, "email-Enron", 0.15) // disconnected
     val h = Sparsifiers.spanningForest(g, 0.5, 0)
-    val co = Csr.fromGraph(g, symmetric = true).components()
-    val ch = Csr.fromGraph(h, symmetric = true).components()
+    val co = g.undirectedCsr.components()
+    val ch = h.undirectedCsr.components()
     // same partition: every original component maps to exactly one in h
     val mapping = co.zip(ch).distinct
     assert(mapping.map(_._1).distinct.length === mapping.length)
@@ -59,8 +59,8 @@ class SparsifierBehaviorSpec extends SparkSpec {
   test("SP-3: pairwise distances stretched at most t=3") {
     val g = Datasets.get(spark, "ca-HepPh", 0.08)
     val h = Sparsifiers.tSpanner(g, 0.5, 0)
-    val cg = Csr.fromGraph(g, symmetric = true)
-    val chh = Csr.fromGraph(h, symmetric = true)
+    val cg = g.undirectedCsr
+    val chh = h.undirectedCsr
     val rng = new scala.util.Random(7)
     (0 until 30).foreach { _ =>
       val s = rng.nextInt(cg.n)
@@ -85,7 +85,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
   test("GS: min kept jaccard ≥ max dropped jaccard") {
     val h = Sparsifiers.gSpar(fb, 0.5, 0)
     val kept = h.edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val scores = SimilarityScores.forGraph(fb).collect()
+    val scores = fb.similarityScores.collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(6)))
     val (inS, outS) = scores.partition(e => kept.contains(e._1))
     assert(inS.map(_._2).min >= outS.map(_._2).max - 1e-12)
@@ -94,7 +94,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
   test("SCAN: min kept scan score ≥ max dropped scan score") {
     val h = Sparsifiers.scan(fb, 0.5, 0)
     val kept = h.edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val scores = SimilarityScores.forGraph(fb).collect()
+    val scores = fb.similarityScores.collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(7)))
     val (inS, outS) = scores.partition(e => kept.contains(e._1))
     assert(inS.map(_._2).min >= outS.map(_._2).max - 1e-12)
@@ -149,21 +149,23 @@ class SparsifierBehaviorSpec extends SparkSpec {
   // ---- Effective Resistance ----
   test("ER: resistances on a path graph equal hop counts") {
     val path = GraphOps.fromPairs(spark, "path4er", Seq((0, 1), (1, 2), (2, 3)), directed = false, 4)
-    val (s, d, _, r) = EffectiveResistance.resistances(path, 100)
+    val (s, d, _) = path.edgeArrays
+    val r = path.resistances
     // every edge of a tree has effective resistance = its weight = 1
     s.indices.foreach(i => assert(math.abs(r(i) - 1.0) < 1e-6, s"edge ${s(i)}-${d(i)}: ${r(i)}"))
   }
 
   test("ER: parallel paths halve the resistance of a cycle edge") {
     val c4 = GraphOps.fromPairs(spark, "c4er", Seq((0, 1), (1, 2), (2, 3), (0, 3)), directed = false, 4)
-    val (_, _, _, r) = EffectiveResistance.resistances(c4, 100)
+    val r = c4.resistances
     // cycle of 4 unit resistors: R_e = 1·3/(1+3) = 0.75 for every edge
     r.foreach(x => assert(math.abs(x - 0.75) < 1e-6))
   }
 
   test("ER: sum of leverage scores w·R equals n − #components") {
     val g = Datasets.get(spark, "ego-Facebook", 0.1)
-    val (_, _, w, r) = EffectiveResistance.resistances(g, 2000)
+    val (_, _, w) = g.edgeArrays
+    val r = g.resistances
     val lev = w.indices.map(i => w(i) * r(i)).sum
     assert(math.abs(lev - (g.numVertices - 1)) < 0.05 * g.numVertices)
   }

@@ -3,7 +3,7 @@ package repro.graphs
 import repro.SparkSpec
 import repro.core.GraphOps
 import repro.harness.Taxonomy
-import repro.metrics.{ClusteringCoeffs, Connectivity, Csr}
+import repro.metrics.{ClusteringCoeffs, Connectivity}
 
 class GraphGenSpec extends SparkSpec {
 
@@ -23,7 +23,7 @@ class GraphGenSpec extends SparkSpec {
   test("barabasiAlbert grows hubs (max degree ≫ m)") {
     val g = GraphOps.fromPairs(spark, "ba-hub",
       GraphGen.barabasiAlbert(500, 4, 2).toSeq, directed = false, 500)
-    assert(Csr.fromGraph(g).maxDegree > 20)
+    assert(g.undirectedCsr.maxDegree > 20)
   }
 
   test("directedPowerLaw keeps arcs directed and loop-free") {
@@ -63,7 +63,7 @@ class GraphGenSpec extends SparkSpec {
     val (pairs, total) = GraphGen.withSatellites(main, 100, 3, 10, 2)
     val g = GraphOps.fromPairs(spark, "sat", pairs.toSeq, directed = false, total)
     assert(total === 130)
-    assert(Csr.fromGraph(g).components().distinct.length === 4)
+    assert(g.undirectedCsr.components().distinct.length === 4)
   }
 
   test("connect produces a single component") {

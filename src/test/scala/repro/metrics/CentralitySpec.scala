@@ -102,14 +102,14 @@ class CentralitySpec extends SparkSpec {
 
   // ---- driver PageRank ----
   test("driver pagerank sums to 1 and favours the star hub") {
-    val pr = Centrality.pagerankDriver(star)
+    val pr = PageRank.scores(star)
     assert(math.abs(pr.sum - 1.0) < 1e-9)
     (1 to 5).foreach(i => assert(pr(0) > pr(i)))
   }
 
   test("driver pagerank handles dangling vertices (directed path)") {
     val g = GraphOps.fromPairs(spark, "pr-dp", Seq((0, 1), (1, 2)), directed = true, 3)
-    val pr = Centrality.pagerankDriver(g)
+    val pr = PageRank.scores(g)
     assert(math.abs(pr.sum - 1.0) < 1e-9)
     assert(pr(2) > pr(1) && pr(1) > pr(0))
   }

@@ -29,7 +29,7 @@ class DistanceSpec extends SparkSpec {
 
   test("eccentricity of a path graph") {
     val p5 = GraphOps.fromPairs(spark, "ecc-p5", Seq((0, 1), (1, 2), (2, 3), (3, 4)), directed = false, 5)
-    val c = Csr.fromGraph(p5)
+    val c = p5.undirectedCsr
     assert(Distances.eccentricity(c, 0, weighted = false) === 4.0)
     assert(Distances.eccentricity(c, 2, weighted = false) === 2.0)
   }

@@ -4,14 +4,14 @@ import repro.SparkSpec
 import repro.core.GraphOps
 import repro.graphs.Datasets
 
-/** The DataFrame PageRank is verified against the independent driver
+/** The driver PageRank is verified against the independent DataFrame
   * implementation (same math, different engine) on several graph shapes.
   */
 class PageRankSpec extends SparkSpec {
 
   private def compare(g: repro.core.SparkGraph, tol: Double = 1e-6): Unit = {
-    val df = PageRank.scores(g, iters = 15)
-    val drv = Centrality.pagerankDriver(g, iters = 15)
+    val df = DataFramePageRank.scores(g, iters = 15)
+    val drv = PageRank.scores(g, iters = 15)
     assert(df.length === drv.length)
     df.indices.foreach { v =>
       assert(math.abs(df(v) - drv(v)) < tol, s"v=$v df=${df(v)} driver=${drv(v)}")
